@@ -454,9 +454,10 @@ pub(crate) fn scan_rules(path: &str, code: &[&Token]) -> Vec<Finding> {
 /// in deterministic (sorted) order.
 ///
 /// Skipped: `target/`, `tests/`, `benches/`, `examples/`, `fixtures/`,
-/// `bin/` directories, `main.rs` files (binary targets), and the
+/// `bin/` directories, `main.rs` files (binary targets), the
 /// workspace-excluded `crates/bench` (the one crate allowed external
-/// dependencies).
+/// dependencies), and `perfbench`, a binary-only package outside the
+/// workspace whose modules time the simulator with the wall clock.
 ///
 /// # Errors
 ///
@@ -490,6 +491,7 @@ fn walk(dir: &std::path::Path, out: &mut Vec<std::path::PathBuf>) -> Result<(), 
                     | ".git"
                     | ".github"
             ) || path.ends_with("crates/bench")
+                || path.ends_with("perfbench")
             {
                 continue;
             }

@@ -294,9 +294,6 @@ impl Hierarchy {
                 }
             }
         }
-        // The sweep above removed L2 entries through `slice_mut`, behind
-        // the back of the level's residency index.
-        self.l2.rebuild_index();
         Ok(())
     }
 

@@ -38,7 +38,6 @@
 pub mod events;
 pub mod group;
 pub mod hierarchy;
-pub mod index;
 pub mod mshr;
 pub mod params;
 pub mod replacement;
@@ -48,7 +47,6 @@ pub mod stats;
 pub use events::{CacheEventSink, Level, NoopSink};
 pub use group::Grouping;
 pub use hierarchy::{Hierarchy, HierarchyParams, MemorySubsystem};
-pub use index::{CopySet, LineIndex};
 pub use mshr::MshrFile;
 pub use params::{CacheParams, LatencyParams};
 pub use replacement::{ReplacementKind, TreePlru};
@@ -57,10 +55,11 @@ pub use stats::{LevelStats, SliceStats};
 
 /// Hints the CPU to start fetching the cache line at `p`.
 ///
-/// Group scans walk one set row per member slice; the rows live in
-/// per-slice arrays far apart in memory, so an 8-member merged group
-/// takes up to eight dependent host-cache misses per lookup. Issuing all
-/// row prefetches before the first scan overlaps those misses. Purely a
+/// A group lookup probes one tag row per member slice. The member rows
+/// of a set are adjacent in the level's set-major layout, but a wide
+/// group still spans several host cache lines, and the lookup follows an
+/// L1 probe on the same access; issuing the row prefetches at access
+/// entry overlaps those misses with the L1 probe. Purely a
 /// hint: results are bit-identical with or without it, and on
 /// non-x86_64 targets it compiles to nothing.
 #[inline(always)]

@@ -9,7 +9,6 @@
 
 use crate::events::{CacheEventSink, Level};
 use crate::group::Grouping;
-use crate::index::{CopySet, LineIndex};
 use crate::params::CacheParams;
 use crate::replacement::{ReplacementKind, TreePlru};
 use crate::stats::{LevelStats, SliceStats};
@@ -31,17 +30,42 @@ pub struct Entry {
 /// Sentinel marking an invalid way in the compact tag array.
 const NO_LINE: Line = Line::MAX;
 
+/// Sentinel marking a full row in [`CacheLevel`]'s first-invalid-way
+/// summary.
+const NO_WAY: u32 = u32::MAX;
+
 use crate::prefetch;
+
+/// The fused stamp pass behind [`Slice::placement_scan`]: the first
+/// invalid way of a stamp row (if any), plus the first minimum-stamp valid
+/// way and its stamp (way 0 and `u64::MAX` when no way is valid).
+#[inline]
+fn placement_scan(stamps: &[u64]) -> (Option<usize>, usize, u64) {
+    let mut invalid = None;
+    let (mut best, mut best_stamp) = (0usize, u64::MAX);
+    for (w, &st) in stamps.iter().enumerate() {
+        if st == u64::MAX {
+            if invalid.is_none() {
+                invalid = Some(w);
+            }
+        } else if st < best_stamp {
+            best_stamp = st;
+            best = w;
+        }
+    }
+    (invalid, best, best_stamp)
+}
 
 /// A physical cache slice: `sets × ways` of ways in struct-of-arrays
 /// layout.
 ///
-/// The hot probe path scans 8-byte line addresses (`tags`) contiguously;
-/// recency stamps, owners and dirty bits live in parallel arrays touched
-/// only by the paths that need them — merged groups scan up to 256 ways
-/// per lookup, which makes this the simulator's hottest loop, and an
-/// array-of-`Option<Entry>` layout would drag 32-byte slots (plus the
-/// discriminant branch) through the cache for every probed way. A way is
+/// Private L1s (and the baseline systems' slices) use this type; the
+/// groupable L2/L3 levels store their slices inside [`CacheLevel`]. The
+/// probe path scans 8-byte line addresses (`tags`) contiguously; recency
+/// stamps, owners and dirty bits live in parallel arrays touched only by
+/// the paths that need them, so a probe never drags 32-byte
+/// `Option<Entry>` slots (plus the discriminant branch) through the host
+/// cache. A way is
 /// valid iff its tag is not `NO_LINE`; invalid ways carry stamp
 /// `u64::MAX` so LRU scans skip them without a branch. [`Entry`] remains
 /// the exchange type at the API boundary (install/invalidate/iterate) and
@@ -132,19 +156,6 @@ impl Slice {
         self.probe_in_set(self.params.set_index(line), line)
     }
 
-    /// Hints the CPU to fetch the tag row of `set` ahead of a probe.
-    #[inline]
-    pub fn prefetch_tags(&self, set: usize) {
-        prefetch(&self.tags[self.base(set)]);
-    }
-
-    /// Hints the CPU to fetch the stamp row of `set` ahead of a
-    /// placement scan.
-    #[inline]
-    pub fn prefetch_stamps(&self, set: usize) {
-        prefetch(&self.stamps[self.base(set)]);
-    }
-
     /// [`Self::probe`] with the set index precomputed by the caller.
     ///
     /// Group scans probe every member slice for the same line; all slices
@@ -233,22 +244,7 @@ impl Slice {
     #[inline]
     pub fn placement_scan(&self, set: usize) -> (Option<usize>, usize, u64) {
         let base = self.base(set);
-        let mut invalid = None;
-        let (mut best, mut best_stamp) = (0usize, u64::MAX);
-        for (w, &st) in self.stamps[base..base + self.params.ways()]
-            .iter()
-            .enumerate()
-        {
-            if st == u64::MAX {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-            } else if st < best_stamp {
-                best_stamp = st;
-                best = w;
-            }
-        }
-        (invalid, best, best_stamp)
+        placement_scan(&self.stamps[base..base + self.params.ways()])
     }
 
     /// The pseudo-LRU victim way for `set`.
@@ -288,9 +284,7 @@ impl Slice {
         self.invalidate_way(set, way)
     }
 
-    /// Removes the entry at `(set, way)` if valid, returning it. Used by
-    /// the residency-index paths, which already know the way and skip the
-    /// probe.
+    /// Removes the entry at `(set, way)` if valid, returning it.
     #[inline]
     pub fn invalidate_way(&mut self, set: usize, way: usize) -> Option<Entry> {
         let idx = self.base(set) + way;
@@ -314,17 +308,6 @@ impl Slice {
             .enumerate()
             .filter(|(_, &t)| t != NO_LINE)
             .map(|(idx, _)| self.entry_at(idx))
-    }
-
-    /// Invokes `f(set, way, line)` for every valid way. Used to rebuild
-    /// the level residency index after bulk mutations.
-    pub fn for_each_valid(&self, mut f: impl FnMut(usize, usize, Line)) {
-        let ways = self.params.ways();
-        for (idx, &t) in self.tags.iter().enumerate() {
-            if t != NO_LINE {
-                f(idx / ways, idx % ways, t);
-            }
-        }
     }
 
     /// Removes every entry for which `pred` returns true, invoking `f` on
@@ -385,6 +368,14 @@ pub struct Displaced {
 /// stream. With one array per `Slice` (the previous layout), the same
 /// scans took one *dependent* host-cache miss per member, because member
 /// rows of the same set live hundreds of KiB apart.
+///
+/// Each row `(set, slice)` also carries a **placement summary** in three
+/// flat arrays indexed like the rows (`set * n_slices + slice`): its
+/// minimum valid stamp, that stamp's way, and its first invalid way. A
+/// warm fill into an `m`-member group then reads `m` summaries instead of
+/// `m × ways` stamps. Every valid stamp is drawn from the level's
+/// monotonic counter, so valid stamps are unique and the summary's
+/// minimum is exactly the first minimum a full stamp scan returns.
 #[derive(Debug, Clone)]
 pub struct CacheLevel {
     level: Level,
@@ -396,7 +387,16 @@ pub struct CacheLevel {
     /// Recency stamps; `u64::MAX` on invalid ways (see
     /// [`Slice::placement_scan`] for the invariant this buys).
     stamps: Vec<u64>,
-    owners: Vec<CoreId>,
+    /// Per-row minimum stamp (`u64::MAX` when the row holds no valid way).
+    row_lru_stamp: Vec<u64>,
+    /// Per-row way of that minimum (0 when the row holds no valid way).
+    row_lru_way: Vec<u32>,
+    /// Per-row first invalid way, or [`NO_WAY`] when the row is full.
+    row_free_way: Vec<u32>,
+    /// Owning core of each way, as `u32` to pay for the placement
+    /// summaries' memory. Lossless: an owner is the inserting core, whose
+    /// home slice indexes the grouping, so it is below `n_slices`.
+    owners: Vec<u32>,
     /// Dirty bits, one per way slot, packed 64 per word.
     dirty: Vec<u64>,
     /// One PLRU tree per `(slice, set)` at `slice * sets + set`; empty in
@@ -407,16 +407,6 @@ pub struct CacheLevel {
     kind: ReplacementKind,
     stamp: u64,
     rr: usize,
-    /// Level-wide line → (slice, way) residency index, kept in sync with
-    /// every install/invalidate so multi-member group operations touch
-    /// only the rows that actually hold the line (one probe-chain walk)
-    /// instead of one tag row per member. Only materialized while the
-    /// grouping has at least one merged group: singleton lookups never
-    /// read it, so on an all-private level the per-fill maintenance would
-    /// be pure overhead. Also `None` when the level has more slices than
-    /// [`CopySet`] can describe. Without an index, all group operations
-    /// use the tag-scan formulation.
-    index: Option<LineIndex>,
     /// Access statistics for the level.
     pub stats: LevelStats,
 }
@@ -429,7 +419,8 @@ impl CacheLevel {
         slice_params: CacheParams,
         kind: ReplacementKind,
     ) -> Self {
-        let slots = n_slices * slice_params.sets() * slice_params.ways();
+        let rows = n_slices * slice_params.sets();
+        let slots = rows * slice_params.ways();
         let plru = match kind {
             ReplacementKind::TreePlru => (0..n_slices * slice_params.sets())
                 .map(|_| TreePlru::new(slice_params.ways()))
@@ -442,6 +433,9 @@ impl CacheLevel {
             n_slices,
             tags: vec![NO_LINE; slots],
             stamps: vec![u64::MAX; slots],
+            row_lru_stamp: vec![u64::MAX; rows],
+            row_lru_way: vec![0; rows],
+            row_free_way: vec![0; rows],
             owners: vec![0; slots],
             dirty: vec![0; slots.div_ceil(64)],
             plru,
@@ -450,17 +444,20 @@ impl CacheLevel {
             kind,
             stamp: 0,
             rr: 0,
-            // Levels start all-private; the index appears with the first
-            // merged grouping (see `set_grouping`).
-            index: None,
             stats: LevelStats::new(n_slices),
         }
+    }
+
+    /// Row number of `(set, slice)`: the index of its placement summary.
+    #[inline]
+    fn row_id(&self, set: usize, s: SliceId) -> usize {
+        set * self.n_slices + s
     }
 
     /// Flat slot of way 0 of `(set, slice)`.
     #[inline]
     fn row(&self, set: usize, s: SliceId) -> usize {
-        (set * self.n_slices + s) * self.params.ways()
+        self.row_id(set, s) * self.params.ways()
     }
 
     #[inline]
@@ -484,7 +481,7 @@ impl CacheLevel {
         debug_assert_ne!(self.tags[idx], NO_LINE, "entry_at on an invalid way");
         Entry {
             line: self.tags[idx],
-            owner: self.owners[idx],
+            owner: self.owners[idx] as CoreId,
             stamp: self.stamps[idx],
             dirty: self.dirty_bit(idx),
         }
@@ -495,6 +492,24 @@ impl CacheLevel {
         self.tags[idx] = NO_LINE;
         self.stamps[idx] = u64::MAX;
         self.write_dirty_bit(idx, false);
+        self.refresh_row(idx / self.params.ways());
+    }
+
+    /// [`Slice::placement_scan`] over the stamps of row `r`: the ground
+    /// truth the row's placement summary caches.
+    #[inline]
+    fn scan_row(&self, r: usize) -> (Option<usize>, usize, u64) {
+        let ways = self.params.ways();
+        placement_scan(&self.stamps[r * ways..(r + 1) * ways])
+    }
+
+    /// Recomputes the placement summary of row `r` from its stamps.
+    #[inline]
+    fn refresh_row(&mut self, r: usize) {
+        let (free, way, stamp) = self.scan_row(r);
+        self.row_lru_stamp[r] = stamp;
+        self.row_lru_way[r] = way as u32;
+        self.row_free_way[r] = free.map_or(NO_WAY, |w| w as u32);
     }
 
     /// Way of `(set, s)` holding `line`, if resident there.
@@ -505,44 +520,38 @@ impl CacheLevel {
         self.tags[base..base + ways].iter().position(|&t| t == line)
     }
 
-    /// One fused pass over the stamps of `(set, s)` — same contract as
-    /// [`Slice::placement_scan`].
+    /// The placement summary of `(set, s)`: first invalid way, minimum
+    /// valid stamp's way and that stamp — the answer of a fused stamp scan
+    /// ([`Slice::placement_scan`]'s contract) without reading the stamps.
     #[inline]
     fn placement_scan_row(&self, set: usize, s: SliceId) -> (Option<usize>, usize, u64) {
-        let base = self.row(set, s);
-        let mut invalid = None;
-        let (mut best, mut best_stamp) = (0usize, u64::MAX);
-        for (w, &st) in self.stamps[base..base + self.params.ways()]
-            .iter()
-            .enumerate()
-        {
-            if st == u64::MAX {
-                if invalid.is_none() {
-                    invalid = Some(w);
-                }
-            } else if st < best_stamp {
-                best_stamp = st;
-                best = w;
-            }
-        }
-        (invalid, best, best_stamp)
-    }
-
-    /// First invalid way of `(set, s)`, if any.
-    #[inline]
-    fn invalid_way_row(&self, set: usize, s: SliceId) -> Option<usize> {
-        let base = self.row(set, s);
-        self.tags[base..base + self.params.ways()]
-            .iter()
-            .position(|&t| t == NO_LINE)
+        let r = self.row_id(set, s);
+        let free = self.row_free_way[r];
+        let summary = (
+            (free != NO_WAY).then_some(free as usize),
+            self.row_lru_way[r] as usize,
+            self.row_lru_stamp[r],
+        );
+        debug_assert_eq!(
+            summary,
+            self.scan_row(r),
+            "placement summary of set {set} slice {s} out of sync"
+        );
+        summary
     }
 
     /// Refreshes recency (and the PLRU tree, in PLRU mode) on a hit.
     #[inline]
     fn touch_at(&mut self, set: usize, s: SliceId, way: usize, stamp: u64) {
-        let idx = self.row(set, s) + way;
+        let r = self.row_id(set, s);
+        let idx = r * self.params.ways() + way;
         if self.tags[idx] != NO_LINE {
             self.stamps[idx] = stamp;
+            // A touch only raises a stamp, so the row's minimum moves only
+            // when the touched way held it.
+            if self.row_lru_way[r] as usize == way {
+                self.refresh_row(r);
+            }
         }
         if self.kind == ReplacementKind::TreePlru {
             let p = s * self.params.sets() + set;
@@ -561,8 +570,9 @@ impl CacheLevel {
         let displaced = (self.tags[idx] != NO_LINE).then(|| self.entry_at(idx));
         self.tags[idx] = entry.line;
         self.stamps[idx] = entry.stamp;
-        self.owners[idx] = entry.owner;
+        self.owners[idx] = entry.owner as u32;
         self.write_dirty_bit(idx, entry.dirty);
+        self.refresh_row(idx / self.params.ways());
         displaced
     }
 
@@ -630,8 +640,7 @@ impl CacheLevel {
 
     /// Removes every entry of slice `s` for which `pred` returns false,
     /// invoking `f` on each removed entry in `(set, way)` order. Used for
-    /// inclusion enforcement on reconfiguration; callers must follow the
-    /// sweep with [`Self::rebuild_index`].
+    /// inclusion enforcement on reconfiguration.
     pub fn retain_slice_entries(
         &mut self,
         s: SliceId,
@@ -667,23 +676,7 @@ impl CacheLevel {
                 self.n_slices
             )));
         }
-        // A grouping is a partition, so fewer groups than slices means at
-        // least one merged group — the only shape whose lookups read the
-        // residency index. Materialize it on the first merge (populated
-        // from the tag arrays, which may already hold lines mid-run) and
-        // drop it when the level goes back to all-private, so private
-        // phases pay no per-fill maintenance. Reconfiguration-rate path.
-        let merged = g.n_groups() < g.n_slices();
         self.grouping = g;
-        match (&self.index, merged) {
-            (None, true) => {
-                let lines = self.n_slices * self.params.lines();
-                self.index = LineIndex::for_level(self.n_slices, lines);
-                self.rebuild_index();
-            }
-            (Some(_), false) => self.index = None,
-            _ => {}
-        }
         Ok(())
     }
 
@@ -693,29 +686,25 @@ impl CacheLevel {
     }
 
     /// Hints the CPU to fetch what a [`Self::lookup`] of `line` by `core`
-    /// will read first: the home slice's tag row for a private group, the
-    /// residency-index probe chain otherwise. Issued by the hierarchy at
-    /// access entry so the fetch overlaps the L1 probe that precedes the
-    /// group scan.
+    /// will read first: the tag row of every member of `core`'s group.
+    /// Issued by the hierarchy at access entry so the fetch overlaps the
+    /// L1 probe that precedes the group scan.
     #[inline]
     pub fn prefetch_lookup(&self, core: CoreId, line: Line) {
-        let members = self.grouping.group_members(core);
-        match &self.index {
-            Some(ix) if members.len() > 1 => ix.prefetch_line(line),
-            _ => {
-                let set = self.params.set_index(line);
-                for &s in members {
-                    prefetch(&self.tags[self.row(set, s)]);
-                }
-            }
+        let set = self.params.set_index(line);
+        for &s in self.grouping.group_members(core) {
+            prefetch(&self.tags[self.row(set, s)]);
         }
     }
 
     /// Looks `line` up in the group of `core`'s home slice.
     ///
     /// If the line is resident in several member slices (possible right
-    /// after a merge), all but the most recently used copy are *lazily
-    /// invalidated* (§2.2) and reported to `sink` as evictions.
+    /// after a merge), stale copies are *lazily invalidated* (§2.2) and
+    /// reported to `sink` as evictions. At most four stale copies go per
+    /// lookup: when a group of six or more members holds more than five
+    /// copies, the extra ones survive this lookup and later lookups
+    /// collapse them (DESIGN.md §7, "Bounded lazy invalidation").
     ///
     /// Records hit/miss statistics and refreshes recency on a hit.
     pub fn lookup(
@@ -751,45 +740,21 @@ impl CacheLevel {
                 }
             };
         }
-        // One residency-index probe replaces the per-member tag scans:
-        // only members that actually hold the line are visited. The member
-        // loop below still walks `members` in group order, so hit events,
-        // best-copy tie-breaks, and lazy-invalidation order are identical
-        // to the scan formulation (which iterated the same list).
-        let copies: Option<CopySet> = self.index.as_ref().map(|ix| ix.copies(line));
-        if let Some(c) = &copies {
-            if c.is_empty() {
-                // No slice in the whole level holds the line, so no
-                // member does either: a guaranteed group miss.
-                self.stats.record(core, true);
-                return None;
-            }
-        }
         // Collect every member slice holding the line.
         let mut best: Option<(SliceId, usize, u64)> = None;
         let mut duplicates: [Option<SliceId>; 4] = [None; 4];
         let mut n_dup = 0usize;
         for &s in members {
-            let found = match &copies {
-                Some(c) => c.way_of(s),
-                None => self.probe_row(set, s, line),
-            };
-            if let Some(way) = found {
-                debug_assert_eq!(
-                    self.probe_row(set, s, line),
-                    Some(way),
-                    "residency index out of sync with slice {s}"
-                );
+            if let Some(way) = self.probe_row(set, s, line) {
                 let stamp = self.stamps[self.row(set, s) + way];
                 match best {
                     None => best = Some((s, way, stamp)),
-                    Some((bs, bw, bstamp)) => {
+                    Some((bs, _, bstamp)) => {
                         if stamp > bstamp {
                             if n_dup < duplicates.len() {
                                 duplicates[n_dup] = Some(bs);
                                 n_dup += 1;
                             }
-                            let _ = bw;
                             best = Some((s, way, stamp));
                         } else if n_dup < duplicates.len() {
                             duplicates[n_dup] = Some(s);
@@ -802,9 +767,6 @@ impl CacheLevel {
         // Lazy-invalidate stale duplicates.
         for dup in duplicates.iter().take(n_dup).flatten() {
             if let Some(e) = self.invalidate_row(set, *dup, line) {
-                if let Some(ix) = self.index.as_mut() {
-                    ix.remove(line, *dup);
-                }
                 self.slice_stats[*dup].lazy_invalidations += 1;
                 sink.evicted(self.level, *dup, e.owner, e.line);
             }
@@ -876,73 +838,45 @@ impl CacheLevel {
         let set = self.params.set_index(line);
         let members: &[SliceId] = self.grouping.group_members(core);
         // Placement: invalid way in the home slice, then an invalid way in
-        // any member (in member order), then the replacement victim. In
-        // LRU mode one fused stamp scan per member answers both the
-        // invalid-way and the victim query, so a warm (fully valid) group
-        // costs exactly one pass over each member's stamp row instead of a
-        // failed tag pass plus a stamp pass — and member rows of one set
-        // are adjacent in the set-major layout, so the whole group scan
-        // streams through contiguous memory.
-        let (s, w) = match self.kind {
-            ReplacementKind::Lru => {
-                let (home_inv, home_way, home_stamp) = self.placement_scan_row(set, core);
-                if let Some(w) = home_inv {
-                    (core, w)
-                } else {
-                    let mut target: Option<(SliceId, usize)> = None;
-                    let mut best: Option<(SliceId, usize, u64)> = None;
-                    for &s in members {
-                        let (inv, way, stamp) = if s == core {
-                            (None, home_way, home_stamp)
-                        } else {
-                            self.placement_scan_row(set, s)
-                        };
-                        if let Some(w) = inv {
-                            target = Some((s, w));
-                            break;
-                        }
-                        if best.map(|(_, _, b)| stamp < b).unwrap_or(true) {
-                            best = Some((s, way, stamp));
-                        }
+        // any member (in member order), then the replacement victim. Both
+        // queries read the per-row placement summaries, so a warm (fully
+        // valid) group costs one summary per member, not a pass over every
+        // member's stamp row.
+        let (home_free, home_way, home_stamp) = self.placement_scan_row(set, core);
+        let (s, w) = match (home_free, self.kind) {
+            (Some(w), _) => (core, w),
+            (None, ReplacementKind::Lru) => {
+                // Global LRU: the home row is full, so its minimum is a real
+                // stamp and seeds the search. Valid stamps are unique, so
+                // skipping the home slice in the loop keeps the result of a
+                // scan in member order.
+                let mut victim = (core, home_way, home_stamp);
+                let mut spill = None;
+                for &s in members {
+                    if s == core {
+                        continue;
                     }
-                    // Every member scan yields a victim (a validated
-                    // geometry has ways >= 1, and a set with no valid way
-                    // was taken as an invalid-way target above), so the
-                    // home slice's entry alone guarantees `best` is Some.
-                    target
-                        .or_else(|| best.map(|(s, w, _)| (s, w)))
-                        // morph-lint: allow(no-panic-in-lib, reason = "the home slice always contributes a placement candidate; geometry validated at construction")
-                        .expect("a set always has a victim")
+                    let (free, way, stamp) = self.placement_scan_row(set, s);
+                    if let Some(w) = free {
+                        spill = Some((s, w));
+                        break;
+                    }
+                    if stamp < victim.2 {
+                        victim = (s, way, stamp);
+                    }
                 }
+                spill.unwrap_or((victim.0, victim.1))
             }
-            ReplacementKind::TreePlru => {
-                let mut target: Option<(SliceId, usize)> = None;
-                if let Some(w) = self.invalid_way_row(set, core) {
-                    target = Some((core, w));
-                } else {
-                    for &s in members {
-                        if s == core {
-                            continue;
-                        }
-                        if let Some(w) = self.invalid_way_row(set, s) {
-                            target = Some((s, w));
-                            break;
-                        }
-                    }
-                }
-                match target {
-                    Some(t) => t,
-                    None => {
-                        let s = members[self.rr % members.len()];
-                        self.rr = self.rr.wrapping_add(1);
-                        debug_assert_eq!(
-                            self.kind,
-                            ReplacementKind::TreePlru,
-                            "PLRU victim on a non-PLRU level"
-                        );
-                        (s, self.plru[s * self.params.sets() + set].victim())
-                    }
-                }
+            (None, ReplacementKind::TreePlru) => {
+                let spill = members
+                    .iter()
+                    .filter(|&&s| s != core)
+                    .find_map(|&s| self.placement_scan_row(set, s).0.map(|w| (s, w)));
+                spill.unwrap_or_else(|| {
+                    let s = members[self.rr % members.len()];
+                    self.rr = self.rr.wrapping_add(1);
+                    (s, self.plru[s * self.params.sets() + set].victim())
+                })
             }
         };
         let stamp = self.next_stamp();
@@ -957,12 +891,6 @@ impl CacheLevel {
                 dirty,
             },
         );
-        if let Some(ix) = self.index.as_mut() {
-            if let Some(e) = &displaced {
-                ix.remove(e.line, s);
-            }
-            ix.insert(line, s, w);
-        }
         sink.inserted(self.level, s, core, line);
         if let Some(e) = displaced {
             self.slice_stats[s].evictions += 1;
@@ -984,22 +912,14 @@ impl CacheLevel {
             n_slices,
             tags,
             dirty,
-            index,
             ..
         } = self;
         let ways = params.ways();
-        let copies: Option<CopySet> = index.as_ref().map(|ix| ix.copies(line));
         for &s in grouping.group_members(core) {
             let base = (set * *n_slices + s) * ways;
-            let found = match &copies {
-                Some(c) => c.way_of(s),
-                None => tags[base..base + ways].iter().position(|&t| t == line),
-            };
-            if let Some(w) = found {
+            if let Some(w) = tags[base..base + ways].iter().position(|&t| t == line) {
                 let idx = base + w;
-                if tags[idx] != NO_LINE {
-                    dirty[idx >> 6] |= 1u64 << (idx & 63);
-                }
+                dirty[idx >> 6] |= 1u64 << (idx & 63);
             }
         }
     }
@@ -1013,53 +933,15 @@ impl CacheLevel {
         sink: &mut dyn CacheEventSink,
     ) -> bool {
         let set = self.params.set_index(line);
-        // With the residency index, only slices that actually hold the
-        // line are touched; the scan fallback probes every listed slice
-        // (adjacent rows in the set-major layout, so the probes stream).
-        let copies: Option<CopySet> = self.index.as_ref().map(|ix| ix.copies(line));
         let mut any_dirty = false;
         for &s in slices {
-            let removed = match &copies {
-                Some(c) => c.way_of(s).and_then(|w| self.invalidate_way_at(set, s, w)),
-                None => self.invalidate_row(set, s, line),
-            };
-            if let Some(e) = removed {
-                debug_assert_eq!(e.line, line, "residency index out of sync with slice {s}");
-                if let Some(ix) = self.index.as_mut() {
-                    ix.remove(line, s);
-                }
+            if let Some(e) = self.invalidate_row(set, s, line) {
                 self.slice_stats[s].back_invalidations += 1;
                 any_dirty |= e.dirty;
                 sink.evicted(self.level, s, e.owner, e.line);
             }
         }
         any_dirty
-    }
-
-    /// Rebuilds the residency index from the (authoritative) tag arrays.
-    ///
-    /// Must be called after any bulk out-of-band mutation — i.e. whenever
-    /// entries are removed through [`Self::retain_slice_entries`] instead
-    /// of the maintaining paths (`insert`/`lookup`/`back_invalidate`), as
-    /// the regrouping inclusion sweeps do. Reconfiguration-rate cold path.
-    pub fn rebuild_index(&mut self) {
-        let Self {
-            tags,
-            params,
-            n_slices,
-            index,
-            ..
-        } = self;
-        if let Some(ix) = index {
-            ix.clear();
-            let ways = params.ways();
-            for (idx, &t) in tags.iter().enumerate() {
-                if t != NO_LINE {
-                    let (row, way) = (idx / ways, idx % ways);
-                    ix.insert(t, row % *n_slices, way);
-                }
-            }
-        }
     }
 
     /// Total valid entries over all slices.
@@ -1284,6 +1166,47 @@ mod tests {
             .filter(|&i| l.peek(0, set0_line(i)).is_some())
             .count();
         assert_eq!(resident, 4);
+    }
+
+    #[test]
+    fn placement_summaries_track_every_mutation() {
+        let mut l = level(4);
+        let mut sink = NoopSink;
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let (core, line) = ((x >> 8) as usize % 4, (x >> 16) % 64);
+            match x % 8 {
+                0..=2 => {
+                    if l.peek(core, line).is_none() {
+                        l.insert(core, line, false, &mut sink);
+                    }
+                }
+                3 | 4 => {
+                    l.lookup(core, line, &mut sink);
+                }
+                5 => {
+                    l.back_invalidate(&[core], line, &mut sink);
+                }
+                6 => l.retain_slice_entries(core, |e| e.line % 3 != 0, |_| {}),
+                _ => {
+                    let g = match step % 3 {
+                        0 => Grouping::private(4),
+                        1 => Grouping::all_shared(4),
+                        _ => Grouping::from_groups(4, vec![vec![0, 1], vec![2, 3]]).unwrap(),
+                    };
+                    l.set_grouping(g).unwrap();
+                }
+            }
+            for set in 0..l.params.sets() {
+                for s in 0..4 {
+                    let r = l.row_id(set, s);
+                    assert_eq!(l.placement_scan_row(set, s), l.scan_row(r), "step {step}");
+                }
+            }
+        }
     }
 
     #[test]
