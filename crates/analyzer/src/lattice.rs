@@ -719,7 +719,10 @@ impl ReducedLattice {
     /// Runs the layered verification.
     pub fn check(&self) -> ReducedReport {
         let base = self.n.min(16);
-        // morph-lint: allow(no-panic-in-lib, reason = "base is a power of two in 2..=16 by construction, which SymmetryGroup::new accepts")
+        #[expect(
+            clippy::expect_used,
+            reason = "base is a power of two in 2..=16 by construction, which SymmetryGroup::new accepts"
+        )]
         let group = SymmetryGroup::new(base).expect("base slice count is a valid group size");
         let machine = Lattice { n: base };
         let mut report = ReducedReport {

@@ -1,31 +1,17 @@
-//! `morph-lint`: the MorphCache static-analysis CLI.
+//! `morph-lint`: the MorphCache topology-lattice model check.
 //!
 //! ```text
-//! morph-lint lint [--passes a,b] [--timings] [--format text|json|sarif] [--root PATH]
-//! morph-lint passes                          # list the registered passes
-//! morph-lint crashpoints [--cells N] [--json]
-//! morph-lint lattice [--json] [--cores N]    # topology lattice model check
+//! morph-lint lattice [--json] [--slices N]
 //! ```
 //!
-//! Exit status: 0 clean, 1 findings/violations, 2 usage or I/O error.
-//!
-//! The binary owns the wall clock: the analyzer library is itself linted
-//! (`no-wallclock`), so per-pass timing is injected from here.
+//! Exit status: 0 clean, 1 violations, 2 usage error.
 
-use morph_analyzer::crashpoints::{model_check, PASS_MODEL_CELLS};
-use morph_analyzer::json::{escape, findings_to_json};
 use morph_analyzer::lattice::{Lattice, LatticeReport, ReducedLattice, ReducedReport};
-use morph_analyzer::model::build_workspace;
-use morph_analyzer::passes::{pass_description, PassManager, PASS_NAMES};
-use morph_analyzer::sarif::findings_to_sarif;
-use std::time::Instant;
+use morph_metrics::bench::Json;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let code = match args.first().map(String::as_str) {
-        Some("lint") => run_lint(&args[1..]),
-        Some("passes") => run_passes(),
-        Some("crashpoints") => run_crashpoints(&args[1..]),
         Some("lattice") => run_lattice(&args[1..]),
         Some("--help" | "-h" | "help") | None => {
             print!("{USAGE}");
@@ -43,33 +29,9 @@ fn main() {
 }
 
 const USAGE: &str = "\
-morph-lint: dependency-free static analysis for the MorphCache workspace
+morph-lint: topology-lattice model check for the MorphCache workspace
 
 USAGE:
-    morph-lint lint [--passes a,b,...] [--timings] [--format FMT] [--root PATH]
-        Run the analysis passes over all library crates. The five line
-        rules (no-default-hasher-iteration, no-wallclock, no-panic-in-lib,
-        no-foreign-rng, no-unapproved-thread-state) are joined by three
-        interprocedural passes: panic-reachability (call-graph chains
-        from the public API to panic sites), epoch-protocol (MemoryBackend
-        hook order), and journal-crash-point (commit-sequence model check).
-        --passes selects a comma-separated subset (standard order is
-        kept); --timings prints per-pass wall-clock to stderr; --format
-        is text (default), json, or sarif (--json is an alias for
-        --format json). Suppress a finding with
-        `// morph-lint: allow(<rule>[, <rule>...], reason = \"...\")` on
-        the same or previous line; unused directives are reported as
-        stale-allow. PATH defaults to the enclosing workspace root.
-
-    morph-lint passes
-        List the registered passes in execution order.
-
-    morph-lint crashpoints [--cells N] [--json]
-        Exhaustively enumerate crash points of the morph-journal commit
-        sequence for an N-cell run (default 4): every ordered
-        interruption point (including torn tmp writes) and every
-        persistence subset, asserting resume is clean or a typed error.
-
     morph-lint lattice [--json] [--slices N] (alias: --cores N)
         Verify the reachable (L2, L3) topology lattice from the
         merge/split rules: valid buddy partitions, inclusion capacity,
@@ -81,156 +43,8 @@ USAGE:
         the 16-slice base plus seam-decomposition, die-embedding and
         arbiter/bus acceptance checks at every doubling size.
 
-Exit status: 0 clean, 1 findings or violations, 2 usage/I/O error.
+Exit status: 0 clean, 1 violations, 2 usage error.
 ";
-
-fn run_lint(args: &[String]) -> Result<i32, String> {
-    let mut format = "text".to_string();
-    let mut timings = false;
-    let mut passes: Option<Vec<String>> = None;
-    let mut root: Option<std::path::PathBuf> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => format = "json".into(),
-            "--format" => {
-                let v = it.next().ok_or("--format requires text, json, or sarif")?;
-                if !matches!(v.as_str(), "text" | "json" | "sarif") {
-                    return Err(format!(
-                        "unknown format {v:?}; expected text, json, or sarif"
-                    ));
-                }
-                format = v.clone();
-            }
-            "--timings" => timings = true,
-            "--passes" => {
-                let v = it
-                    .next()
-                    .ok_or("--passes requires a comma-separated list")?;
-                passes = Some(v.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            "--root" => {
-                let path = it.next().ok_or("--root requires a path")?;
-                root = Some(path.into());
-            }
-            other => return Err(format!("unknown lint option {other:?}")),
-        }
-    }
-    let root = match root {
-        Some(r) => r,
-        None => workspace_root()?,
-    };
-    let pm = match &passes {
-        Some(names) => {
-            let names: Vec<&str> = names.iter().map(String::as_str).collect();
-            PassManager::with_passes(&names)?
-        }
-        None => PassManager::with_all_passes(),
-    };
-    let ws = build_workspace(&root)?;
-    let start = Instant::now();
-    let mut clock = move || start.elapsed().as_secs_f64();
-    let report = pm.run(&ws, Some(&mut clock));
-    match format.as_str() {
-        "json" => println!("{}", findings_to_json(&report.findings)),
-        "sarif" => println!("{}", findings_to_sarif(&report.findings)),
-        _ => {
-            if report.findings.is_empty() {
-                println!(
-                    "morph-lint: clean ({}) — {} passes over {} files, {} justified allows",
-                    root.display(),
-                    pm.pass_names().len(),
-                    report.files,
-                    report.allows
-                );
-            } else {
-                for f in &report.findings {
-                    println!("{f}");
-                }
-                println!("morph-lint: {} finding(s)", report.findings.len());
-            }
-        }
-    }
-    if timings {
-        // Timings go to stderr so json/sarif stdout stays parseable.
-        for t in &report.timings {
-            eprintln!("timing: {:<28} {:8.3} ms", t.name, t.seconds * 1e3);
-        }
-        let total: f64 = report.timings.iter().map(|t| t.seconds).sum();
-        eprintln!("timing: {:<28} {:8.3} ms", "total", total * 1e3);
-    }
-    Ok(i32::from(!report.findings.is_empty()))
-}
-
-fn run_passes() -> Result<i32, String> {
-    for name in PASS_NAMES {
-        println!("{name:<28} {}", pass_description(name));
-    }
-    Ok(0)
-}
-
-fn run_crashpoints(args: &[String]) -> Result<i32, String> {
-    let mut json = false;
-    let mut cells = PASS_MODEL_CELLS;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--json" => json = true,
-            "--cells" => {
-                let v = it.next().ok_or("--cells requires a number")?;
-                cells = v
-                    .parse()
-                    .map_err(|e| format!("bad --cells value {v:?}: {e}"))?;
-            }
-            other => return Err(format!("unknown crashpoints option {other:?}")),
-        }
-    }
-    let r = model_check(cells)?;
-    let ok = r.violations.is_empty();
-    if json {
-        let mut out = String::from("{\n");
-        out.push_str(&format!("  \"cells\": {},\n", r.cells));
-        out.push_str(&format!("  \"ops\": {},\n", r.ops));
-        out.push_str(&format!("  \"ordered_points\": {},\n", r.ordered_points));
-        out.push_str(&format!(
-            "  \"persistence_states\": {},\n",
-            r.persistence_states
-        ));
-        out.push_str(&format!("  \"clean_resumes\": {},\n", r.clean_resumes));
-        out.push_str(&format!(
-            "  \"typed_error_resumes\": {},\n",
-            r.typed_error_resumes
-        ));
-        out.push_str(&format!("  \"holds\": {ok},\n"));
-        out.push_str("  \"violations\": [");
-        for (i, v) in r.violations.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&escape(v));
-        }
-        out.push_str("]\n}");
-        println!("{out}");
-    } else {
-        println!("morph-journal commit sequence, {} cells:", r.cells);
-        println!(
-            "  {} fs operations, {} ordered crash points (incl. torn tmp writes)",
-            r.ops, r.ordered_points
-        );
-        println!(
-            "  {} persistence-subset states: {} clean resumes, {} typed errors",
-            r.persistence_states, r.clean_resumes, r.typed_error_resumes
-        );
-        if ok {
-            println!("  resume invariant holds at every interruption point");
-        } else {
-            for v in &r.violations {
-                println!("  VIOLATION: {v}");
-            }
-        }
-    }
-    Ok(i32::from(!ok))
-}
 
 fn run_lattice(args: &[String]) -> Result<i32, String> {
     let mut json = false;
@@ -264,7 +78,10 @@ fn run_lattice(args: &[String]) -> Result<i32, String> {
     });
     let ok = reduced.holds() && cross_ok;
     if json {
-        println!("{}", lattice_json(slices, full.as_ref(), &reduced, ok));
+        print!(
+            "{}",
+            lattice_json(slices, full.as_ref(), &reduced, ok).render()
+        );
     } else {
         print_lattice(slices, full.as_ref(), &reduced, cross_ok, ok);
     }
@@ -276,82 +93,63 @@ fn lattice_json(
     full: Option<&LatticeReport>,
     reduced: &ReducedReport,
     ok: bool,
-) -> String {
-    let mut out = String::from("{\n");
-    out.push_str(&format!("  \"slices\": {slices},\n"));
-    match full {
-        Some(f) => {
-            out.push_str("  \"full\": {\n");
-            out.push_str(&format!(
-                "    \"reachable_states\": {},\n",
-                f.reachable_states
-            ));
-            out.push_str(&format!(
-                "    \"predicted_states\": {},\n",
-                f.predicted_states
-            ));
-            out.push_str(&format!("    \"l3_partitions\": {},\n", f.l3_partitions));
-            out.push_str(&format!(
-                "    \"predicted_l3_partitions\": {},\n",
-                f.predicted_l3_partitions
-            ));
-            out.push_str(&format!("    \"transitions\": {},\n", f.transitions));
-            out.push_str(&format!("    \"forced_covers\": {},\n", f.forced_covers));
-            out.push_str(&format!("    \"holds\": {}\n  }},\n", f.holds()));
-        }
-        None => out.push_str("  \"full\": null,\n"),
-    }
-    out.push_str("  \"reduced\": {\n");
-    out.push_str(&format!("    \"base_slices\": {},\n", reduced.base_slices));
-    out.push_str(&format!(
-        "    \"canonical_states\": {},\n",
-        reduced.canonical_states
-    ));
-    out.push_str(&format!(
-        "    \"expanded_states\": {},\n",
-        reduced.expanded_states
-    ));
-    out.push_str(&format!(
-        "    \"predicted_base_states\": {},\n",
-        reduced.predicted_base_states
-    ));
-    out.push_str(&format!(
-        "    \"expanded_l3_partitions\": {},\n",
-        reduced.expanded_l3_partitions
-    ));
-    match reduced.predicted_states_full {
-        Some(p) => out.push_str(&format!("    \"predicted_states_full\": {p},\n")),
-        None => out.push_str("    \"predicted_states_full\": null,\n"),
-    }
-    out.push_str(&format!("    \"transitions\": {},\n", reduced.transitions));
-    out.push_str(&format!(
-        "    \"forced_covers\": {},\n",
-        reduced.forced_covers
-    ));
-    out.push_str(&format!("    \"seam_checks\": {},\n", reduced.seam_checks));
-    out.push_str(&format!(
-        "    \"embedding_checks\": {},\n",
-        reduced.embedding_checks
-    ));
-    out.push_str(&format!(
-        "    \"acceptance_checks\": {},\n",
-        reduced.acceptance_checks
-    ));
-    out.push_str(&format!("    \"holds\": {}\n  }},\n", reduced.holds()));
-    out.push_str(&format!("  \"holds\": {ok},\n"));
-    out.push_str("  \"violations\": [");
+) -> Json {
+    let num = |x: u64| Json::Num(x as f64);
     let violations = reduced
         .violations
         .iter()
-        .chain(full.iter().flat_map(|f| f.violations.iter()));
-    for (i, v) in violations.enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&escape(&v.to_string()));
-    }
-    out.push_str("]\n}");
-    out
+        .chain(full.iter().flat_map(|f| f.violations.iter()))
+        .map(|v| Json::Str(v.to_string()))
+        .collect();
+    let full = match full {
+        Some(f) => Json::Obj(vec![
+            ("reachable_states".into(), num(f.reachable_states)),
+            ("predicted_states".into(), num(f.predicted_states)),
+            ("l3_partitions".into(), num(f.l3_partitions)),
+            (
+                "predicted_l3_partitions".into(),
+                num(f.predicted_l3_partitions),
+            ),
+            ("transitions".into(), num(f.transitions)),
+            ("forced_covers".into(), num(f.forced_covers)),
+            ("holds".into(), Json::Bool(f.holds())),
+        ]),
+        None => Json::Null,
+    };
+    // The closed-form state count passes 2^53 at 64 slices, beyond what
+    // a JSON number carries exactly, so it is a decimal string.
+    let predicted_full = reduced
+        .predicted_states_full
+        .map_or(Json::Null, |p| Json::Str(p.to_string()));
+    Json::Obj(vec![
+        ("slices".into(), num(slices as u64)),
+        ("full".into(), full),
+        (
+            "reduced".into(),
+            Json::Obj(vec![
+                ("base_slices".into(), num(reduced.base_slices as u64)),
+                ("canonical_states".into(), num(reduced.canonical_states)),
+                ("expanded_states".into(), num(reduced.expanded_states)),
+                (
+                    "predicted_base_states".into(),
+                    num(reduced.predicted_base_states),
+                ),
+                (
+                    "expanded_l3_partitions".into(),
+                    num(reduced.expanded_l3_partitions),
+                ),
+                ("predicted_states_full".into(), predicted_full),
+                ("transitions".into(), num(reduced.transitions)),
+                ("forced_covers".into(), num(reduced.forced_covers)),
+                ("seam_checks".into(), num(reduced.seam_checks)),
+                ("embedding_checks".into(), num(reduced.embedding_checks)),
+                ("acceptance_checks".into(), num(reduced.acceptance_checks)),
+                ("holds".into(), Json::Bool(reduced.holds())),
+            ]),
+        ),
+        ("holds".into(), Json::Bool(ok)),
+        ("violations".into(), Json::Arr(violations)),
+    ])
 }
 
 fn print_lattice(
@@ -419,25 +217,6 @@ fn print_lattice(
             .chain(full.iter().flat_map(|f| f.violations.iter()))
         {
             println!("  VIOLATION: {v}");
-        }
-    }
-}
-
-/// Walks up from the current directory to the enclosing workspace root
-/// (the first `Cargo.toml` declaring `[workspace]`).
-fn workspace_root() -> Result<std::path::PathBuf, String> {
-    let mut dir = std::env::current_dir().map_err(|e| format!("getting cwd: {e}"))?;
-    loop {
-        let manifest = dir.join("Cargo.toml");
-        if manifest.is_file() {
-            let text = std::fs::read_to_string(&manifest)
-                .map_err(|e| format!("reading {}: {e}", manifest.display()))?;
-            if text.contains("[workspace]") {
-                return Ok(dir);
-            }
-        }
-        if !dir.pop() {
-            return Err("no enclosing Cargo workspace found; pass --root".into());
         }
     }
 }

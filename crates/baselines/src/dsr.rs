@@ -121,10 +121,13 @@ impl DsrLevel {
     fn insert(&mut self, core: CoreId, line: Line) -> Vec<(Line, CoreId)> {
         self.stamp += 1;
         let set = self.params.set_index(line);
+        #[expect(
+            clippy::expect_used,
+            reason = "a validated geometry has ways >= 1, so a set always holds an invalid way or an LRU victim"
+        )]
         let way = self.slices[core]
             .invalid_way(set)
             .or_else(|| self.slices[core].lru_way(set).map(|(w, _)| w))
-            // morph-lint: allow(no-panic-in-lib, reason = "a validated geometry has ways >= 1, so a set always holds an invalid way or an LRU victim")
             .expect("set has a victim");
         let displaced = self.slices[core].install(
             set,
@@ -142,10 +145,13 @@ impl DsrLevel {
             if self.should_spill(core, set) {
                 if let Some(receiver) = self.pick_receiver(core) {
                     self.spills += 1;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "same ways >= 1 victim invariant as the local set above"
+                    )]
                     let rway = self.slices[receiver]
                         .invalid_way(set)
                         .or_else(|| self.slices[receiver].lru_way(set).map(|(w, _)| w))
-                        // morph-lint: allow(no-panic-in-lib, reason = "same ways >= 1 victim invariant as the local set above")
                         .expect("receiver set has a victim");
                     if let Some(dropped) = self.slices[receiver].install(set, rway, victim) {
                         gone.push((dropped.line, dropped.owner));
@@ -254,10 +260,13 @@ impl DsrSystem {
     fn fill_l1(&mut self, core: CoreId, line: Line) {
         self.stamp += 1;
         let set = self.l1_params.set_index(line);
+        #[expect(
+            clippy::expect_used,
+            reason = "same ways >= 1 victim invariant; L1 geometry validated at construction"
+        )]
         let way = self.l1[core]
             .invalid_way(set)
             .or_else(|| self.l1[core].lru_way(set).map(|(w, _)| w))
-            // morph-lint: allow(no-panic-in-lib, reason = "same ways >= 1 victim invariant; L1 geometry validated at construction")
             .expect("L1 set has a victim");
         self.l1[core].install(
             set,

@@ -21,6 +21,17 @@
 //! same L1s, same latencies (Table 3 with the paper's static-topology
 //! assumption of fixed L2/L3 hit costs), same inclusion rules.
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod dsr;
 pub mod pipp;
 

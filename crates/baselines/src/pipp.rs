@@ -328,10 +328,13 @@ impl PippSystem {
     fn fill_l1(&mut self, core: CoreId, line: Line) {
         self.stamp += 1;
         let set = self.l1_params.set_index(line);
+        #[expect(
+            clippy::expect_used,
+            reason = "same ways >= 1 victim invariant; L1 geometry validated at construction"
+        )]
         let way = self.l1[core]
             .invalid_way(set)
             .or_else(|| self.l1[core].lru_way(set).map(|(w, _)| w))
-            // morph-lint: allow(no-panic-in-lib, reason = "same ways >= 1 victim invariant; L1 geometry validated at construction")
             .expect("L1 set has a victim");
         self.l1[core].install(
             set,

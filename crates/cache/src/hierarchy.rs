@@ -69,9 +69,12 @@ pub struct HierarchyParams {
 ///
 /// [`paper`]: HierarchyParams::paper
 /// [`scaled_down`]: HierarchyParams::scaled_down
+#[expect(
+    clippy::expect_used,
+    reason = "preset power-of-two capacity/ways/block constants always yield a valid geometry; pinned by the paper_geometry and scaled_down tests"
+)]
 fn preset_geometry(capacity: usize, ways: usize, block: usize) -> CacheParams {
     CacheParams::from_capacity(capacity, ways, block)
-        // morph-lint: allow(no-panic-in-lib, reason = "preset power-of-two capacity/ways/block constants always yield a valid geometry; pinned by the paper_geometry and scaled_down tests")
         .expect("preset constants yield a valid geometry")
 }
 

@@ -35,6 +35,17 @@
 //! h.set_l3_grouping(g).unwrap();
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod events;
 pub mod group;
 pub mod hierarchy;

@@ -74,12 +74,15 @@ impl MshrFile {
             return now;
         }
         self.full_stalls += 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "reached only when the file is full, and capacity is validated >= 1 at construction, so entries is non-empty"
+        )]
         let earliest = self
             .entries
             .iter()
             .map(|&(_, done)| done)
             .min()
-            // morph-lint: allow(no-panic-in-lib, reason = "reached only when the file is full, and capacity is validated >= 1 at construction, so entries is non-empty")
             .expect("full MSHR file is non-empty");
         self.drain(earliest);
         self.primary_misses += 1;

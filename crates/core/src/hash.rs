@@ -92,11 +92,11 @@ mod tests {
         // Strided tags (stride = bits) all collide under modulo; XOR
         // folding spreads them across many indices.
         let bits = 128;
-        let idxs: std::collections::HashSet<usize> = (0..64u64)
+        let idxs: std::collections::BTreeSet<usize> = (0..64u64)
             .map(|i| HashKind::Xor.index(i * bits as u64, bits))
             .collect();
         assert!(idxs.len() > 16, "XOR spread only {} indices", idxs.len());
-        let m: std::collections::HashSet<usize> = (0..64u64)
+        let m: std::collections::BTreeSet<usize> = (0..64u64)
             .map(|i| HashKind::Modulo.index(i * bits as u64, bits))
             .collect();
         assert_eq!(m.len(), 1);
@@ -109,7 +109,7 @@ mod tests {
         // occupancy-model expectation, unlike XOR folding.
         let bits = 256;
         for stride in [7u64, 16, 8191, 1 << 20] {
-            let set: std::collections::HashSet<usize> = (0..128u64)
+            let set: std::collections::BTreeSet<usize> = (0..128u64)
                 .map(|i| HashKind::Mix.index(i * stride, bits))
                 .collect();
             // Expected distinct ≈ 256(1 - e^{-0.5}) ≈ 100.7.

@@ -49,6 +49,17 @@
 //! assert_eq!(outcome.l3_groups.iter().map(|g| g.len()).sum::<usize>(), 4);
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod acfv;
 pub mod config;
 pub mod engine;

@@ -133,8 +133,11 @@ impl SymmetricTopology {
     /// The five static topologies the paper evaluates against on 16 cores,
     /// baseline `(16:1:1)` first — [`static_set`](Self::static_set) at
     /// `n = 16`.
+    #[expect(
+        clippy::expect_used,
+        reason = "static_set(n) cannot fail for the power-of-two n = 16; the generic construction is covered by the static_set_generic test and the 16-entry list is pinned by paper_static_set_contents"
+    )]
     pub fn paper_static_set() -> Vec<SymmetricTopology> {
-        // morph-lint: allow(no-panic-in-lib, reason = "static_set(n) cannot fail for the power-of-two n = 16; the generic construction is covered by the static_set_generic test and the 16-entry list is pinned by paper_static_set_contents")
         Self::static_set(16).expect("16 is a valid static-set core count")
     }
 }

@@ -5,7 +5,7 @@
 //! 64 slices by seeded random sampling (vendored PRNG, fully
 //! deterministic).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use morphcache::symmetry::{BlockSizes, SymmetryGroup};
 use morphcache::Xoshiro256pp;
@@ -82,7 +82,7 @@ fn orbit_sizes_sum_to_the_full_state_count_at_8_and_16_slices() {
         let group = SymmetryGroup::new(n as usize).unwrap();
         let states = refining_pairs(n);
         assert_eq!(states.len(), expected, "enumeration at n={n}");
-        let mut orbits: HashMap<(BlockSizes, BlockSizes), usize> = HashMap::new();
+        let mut orbits: BTreeMap<(BlockSizes, BlockSizes), usize> = BTreeMap::new();
         for (l2, l3) in &states {
             let (rep, size) = group.canonical_pair(l2, l3);
             // Every member of an orbit must agree on the orbit size.
@@ -103,7 +103,7 @@ fn solo_partition_orbits_account_for_buddy_partition_counts() {
     // B(8) = 26, B(16) = 677.
     for (n, expected) in [(8u16, 26usize), (16, 677)] {
         let group = SymmetryGroup::new(n as usize).unwrap();
-        let mut orbits: HashMap<BlockSizes, usize> = HashMap::new();
+        let mut orbits: BTreeMap<BlockSizes, usize> = BTreeMap::new();
         for p in buddy_partitions(n) {
             let (rep, size) = group.canonical_partition(&p);
             orbits.insert(rep, size);

@@ -39,6 +39,17 @@
 //! assert!(cores[0].instructions() > 0);
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 use morph_cache::{CacheEventSink, CoreId, MemorySubsystem};
 use morph_trace::stream::AccessStream;
 

@@ -41,6 +41,17 @@
 //! assert_eq!(granted.len(), 2);
 //! ```
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod arbiter;
 pub mod bus;
 pub mod floorplan;

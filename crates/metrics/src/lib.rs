@@ -15,6 +15,17 @@
 //! * per-cell status/retry accounting ([`MatrixHealth`]) for supervised
 //!   matrix runs (completed/recovered/cached/degraded/interrupted).
 
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
+
 pub mod bench;
 pub mod speedup;
 pub mod stats;

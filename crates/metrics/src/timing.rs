@@ -2,18 +2,24 @@
 //! compute seconds plus the elapsed wall time, from which the harness
 //! reports cells/sec and the speedup over a serial schedule.
 //!
-//! This module is the **only** place in the workspace allowed to touch
-//! `std::time` (enforced by the `no-wallclock` rule of `morph-lint`):
-//! simulation results must be pure functions of (config, workload,
-//! policy, seed), so wall-clock reads are quarantined behind
-//! [`Stopwatch`] and only ever feed *reporting* fields like
-//! [`MatrixTiming`], never simulated state.
+//! This module is the **only** place in the workspace allowed to read
+//! the wall clock (`clippy.toml` disallows `Instant`, `SystemTime` and
+//! `thread::sleep` everywhere else): simulation results must be pure
+//! functions of (config, workload, policy, seed), so wall-clock reads
+//! are quarantined behind [`Stopwatch`] and only ever feed *reporting*
+//! fields like [`MatrixTiming`], never simulated state.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the workspace's one wall-clock module: Stopwatch and sleep_seconds feed reporting and supervision, never simulated state"
+)]
 
 /// A quarantined wall-clock stopwatch.
 ///
 /// The harness starts one per matrix run and one per cell; the elapsed
 /// seconds land in [`MatrixTiming`]. Keeping the `Instant` behind this
-/// type means a lint scan for `std::time` outside this module is
+/// type means clippy's `disallowed_types` outside this module is
 /// sufficient to prove simulated state never observes the wall clock.
 #[derive(Debug, Clone, Copy)]
 pub struct Stopwatch {
@@ -49,7 +55,6 @@ impl Stopwatch {
 /// can never perturb simulated state.
 pub fn sleep_seconds(seconds: f64) {
     if seconds > 0.0 && seconds.is_finite() {
-        // morph-lint: allow(no-unapproved-thread-state, reason = "thread::sleep holds no shared state; quarantined with the wall clock")
         std::thread::sleep(std::time::Duration::from_secs_f64(seconds));
     }
 }

@@ -52,7 +52,16 @@
 //! assert!(run.mean_throughput() > 0.0);
 //! ```
 
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::allow_attributes,
+    clippy::allow_attributes_without_reason
+)]
 
 pub mod backend;
 pub mod config;

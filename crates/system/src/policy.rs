@@ -146,9 +146,12 @@ pub enum Policy {
 
 impl Policy {
     /// The baseline `(16:1:1)` shared-everything topology.
+    #[expect(
+        clippy::expect_used,
+        reason = "(n:1:1) always covers n cores, so construction cannot fail"
+    )]
     pub fn baseline(n_cores: usize) -> Self {
         Policy::Static(
-            // morph-lint: allow(no-panic-in-lib, reason = "(n:1:1) always covers n cores, so construction cannot fail")
             SymmetricTopology::new(n_cores, 1, 1, n_cores).expect("valid baseline topology"),
         )
     }
@@ -158,8 +161,11 @@ impl Policy {
     /// # Panics
     ///
     /// Panics on a malformed or non-covering topology string.
+    #[expect(
+        clippy::expect_used,
+        reason = "convenience constructor with a documented # Panics contract for literal topology strings; fallible callers use SymmetricTopology::parse directly"
+    )]
     pub fn static_topology(s: &str, n_cores: usize) -> Self {
-        // morph-lint: allow(no-panic-in-lib, reason = "convenience constructor with a documented # Panics contract for literal topology strings; fallible callers use SymmetricTopology::parse directly")
         Policy::Static(SymmetricTopology::parse(s, n_cores).expect("valid topology string"))
     }
 

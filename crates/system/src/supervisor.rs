@@ -32,10 +32,16 @@
 //! resumed run loads the recorded cells back bit-identically as
 //! [`Cached`](morph_metrics::CellStatus::Cached).
 //!
-//! This module (with `experiment.rs`) is the audited home of thread
-//! machinery in the workspace — see the `no-unapproved-thread-state`
-//! rule of `morph-lint`. Determinism is preserved because supervision
-//! only decides *whether and when* a cell runs, never *what it computes*.
+//! This module is the audited home of thread machinery in the workspace:
+//! `clippy.toml` disallows locks, atomics and thread spawning everywhere
+//! else. Determinism is preserved because supervision only decides
+//! *whether and when* a cell runs, never *what it computes*.
+
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the audited worker pool: locks, atomics and scoped threads decide whether and when a cell runs, never what it computes"
+)]
 
 use crate::config::SystemConfig;
 use crate::experiment::{run_cell_cancellable, ExperimentMatrix, MatrixCell, RunResult};
@@ -505,7 +511,10 @@ impl<'a> Supervisor<'a> {
     /// One worker: pull cells off the queue until it drains, supervising
     /// each attempt. Returns this worker's outcomes for input-order
     /// reassembly.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the worker borrows the pool's queue cursor, completion counter and in-flight registry from one thread scope"
+    )]
     fn worker_loop(
         &self,
         worker: usize,
@@ -666,8 +675,11 @@ fn attempt_cell(
     chaos: ChaosAction,
 ) -> Result<RunResult, MorphError> {
     match chaos {
+        #[expect(
+            clippy::panic,
+            reason = "chaos injection: deliberately panics inside the supervisor's catch_unwind to prove isolation"
+        )]
         ChaosAction::Panic => {
-            // morph-lint: allow(no-panic-in-lib, reason = "chaos injection: deliberately panics inside the supervisor's catch_unwind to prove isolation")
             panic!("chaos: injected panic");
         }
         ChaosAction::Stall { seconds } => {

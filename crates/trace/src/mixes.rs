@@ -141,9 +141,12 @@ const RAW_MIXES: [RawMix; 12] = [
 /// Returns mix `id` (1-based, as in Table 5).
 pub fn mix(id: usize) -> Option<Mix> {
     let (mid, composition, names) = RAW_MIXES.iter().find(|(m, ..)| *m == id)?;
+    #[expect(
+        clippy::panic,
+        reason = "RAW_MIXES names are compile-time constants cross-checked against the benchmark table by the all_mixes_resolve test"
+    )]
     let benchmarks = names
         .iter()
-        // morph-lint: allow(no-panic-in-lib, reason = "RAW_MIXES names are compile-time constants cross-checked against the benchmark table by the all_mixes_resolve test")
         .map(|n| spec::profile(n).unwrap_or_else(|| panic!("unknown benchmark {n} in MIX {mid}")))
         .collect();
     Some(Mix {
@@ -154,9 +157,12 @@ pub fn mix(id: usize) -> Option<Mix> {
 }
 
 /// All 12 mixes.
+#[expect(
+    clippy::expect_used,
+    reason = "ids 1..=MIX_COUNT all exist in RAW_MIXES; pinned by the all_mixes_resolve test"
+)]
 pub fn all_mixes() -> Vec<Mix> {
     (1..=MIX_COUNT)
-        // morph-lint: allow(no-panic-in-lib, reason = "ids 1..=MIX_COUNT all exist in RAW_MIXES; pinned by the all_mixes_resolve test")
         .map(|i| mix(i).expect("mix table is complete"))
         .collect()
 }

@@ -271,3 +271,102 @@ fn sampling_with_faults_is_a_typed_conflict_with_a_pinned_message() {
         "cannot combine --sampling with --faults: skipped epochs bypass the fault injector"
     );
 }
+
+/// How much of one journal file reached the disk.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Persisted {
+    Absent,
+    /// A prefix of the content: a rename that became durable before the
+    /// write behind it.
+    Torn,
+    Full,
+}
+
+/// Every crash state of a 4-cell journal, on the real `RunJournal`.
+///
+/// Each of `manifest.json` and `cell_0..3.json` is absent, torn or full
+/// (3^5 = 243 states), with and without a torn `.tmp` sibling beside
+/// every file. A crash between any two of the commit sequence's
+/// operations, mid-write, or with any subset of them persisted (without
+/// an fsync barrier) lands in one of these states. Resume must either
+/// cache exactly the full cells, bit-identically, or report a typed
+/// journal error, and it must do the latter exactly when a file is torn.
+#[test]
+fn every_journal_crash_state_resumes_cleanly_or_reports_a_typed_error() {
+    const CELLS: usize = 4;
+    let (cfg, cells) = small_matrix(CELLS);
+    let golden = run_cells(&cfg, &cells, 1).unwrap().results;
+    let seconds: Vec<f64> = (0..CELLS).map(|i| 0.1 + i as f64 / 3.0).collect();
+
+    // Record the run to completion and keep its files.
+    let complete = scratch_dir("journal-complete");
+    let journal = RunJournal::open(&complete, &cfg, &cells).unwrap();
+    for (i, result) in golden.iter().enumerate() {
+        journal.record(i, result, seconds[i]).unwrap();
+    }
+    let names: Vec<String> = std::iter::once("manifest.json".to_string())
+        .chain((0..CELLS).map(|i| format!("cell_{i}.json")))
+        .collect();
+    let contents: Vec<Vec<u8>> = names
+        .iter()
+        .map(|n| std::fs::read(complete.join(n)).unwrap())
+        .collect();
+
+    let dir = scratch_dir("journal-crash-state");
+    let (mut clean, mut typed) = (0, 0);
+    for state in 0..3usize.pow(names.len() as u32) {
+        let files: Vec<Persisted> = (0..names.len())
+            .map(|f| match state / 3usize.pow(f as u32) % 3 {
+                0 => Persisted::Absent,
+                1 => Persisted::Torn,
+                _ => Persisted::Full,
+            })
+            .collect();
+        for stray_tmp in [false, true] {
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            for ((name, content), persisted) in names.iter().zip(&contents).zip(&files) {
+                let torn = &content[..content.len() / 2];
+                match persisted {
+                    Persisted::Absent => {}
+                    Persisted::Torn => std::fs::write(dir.join(name), torn).unwrap(),
+                    Persisted::Full => std::fs::write(dir.join(name), content).unwrap(),
+                }
+                if stray_tmp {
+                    std::fs::write(dir.join(format!("{name}.tmp")), torn).unwrap();
+                }
+            }
+            let what = format!("state {files:?}, stray .tmp: {stray_tmp}");
+            match RunJournal::open(&dir, &cfg, &cells) {
+                Ok(resumed) => {
+                    assert!(
+                        !files.contains(&Persisted::Torn),
+                        "{what}: torn file accepted"
+                    );
+                    for (i, cached) in resumed.cached().iter().enumerate() {
+                        if files[1 + i] == Persisted::Full {
+                            let (result, secs) = cached.as_ref().unwrap();
+                            assert_eq!(result, &golden[i], "{what}: cell {i}");
+                            assert_eq!(secs.to_bits(), seconds[i].to_bits(), "{what}");
+                        } else {
+                            assert!(cached.is_none(), "{what}: cell {i} cached");
+                        }
+                    }
+                    clean += 1;
+                }
+                Err(MorphError::Journal(_)) => {
+                    assert!(
+                        files.contains(&Persisted::Torn),
+                        "{what}: intact journal refused"
+                    );
+                    typed += 1;
+                }
+                Err(other) => panic!("{what}: expected a journal error, got {other:?}"),
+            }
+        }
+    }
+    // 2^5 of the 3^5 states hold no torn file.
+    assert_eq!((clean, typed), (2 * 32, 2 * (243 - 32)));
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&complete);
+}
